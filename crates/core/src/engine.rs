@@ -282,12 +282,17 @@ impl<'g> CrowdRtse<'g> {
             Some((epsilon, prev)) => {
                 // Roads whose observation was removed since the previous
                 // round: the stored value still equals the stale reading,
-                // so only this hint makes their neighborhood dirty.
+                // so only this hint makes their neighborhood dirty. Kept in
+                // `prev.observations` order; membership is a binary search
+                // over the current round's sorted roads.
+                let mut observed: Vec<RoadId> =
+                    outcome.observations.iter().map(|&(r, _)| r).collect();
+                observed.sort_unstable();
                 let changed: Vec<RoadId> = prev
                     .observations
                     .iter()
                     .map(|&(r, _)| r)
-                    .filter(|&r| !outcome.observations.iter().any(|&(r2, _)| r2 == r))
+                    .filter(|r| observed.binary_search(r).is_err())
                     .collect();
                 let solver = DeltaGsp { base: config.gsp, epsilon };
                 propagate_delta_observed(

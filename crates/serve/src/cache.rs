@@ -59,6 +59,14 @@ struct CacheCell {
     round: Option<Arc<CachedRound>>,
 }
 
+impl CacheCell {
+    /// The cached round if it is younger than `max_age`: the one
+    /// freshness rule every lookup applies.
+    fn fresh(&self, max_age: Duration) -> Option<&Arc<CachedRound>> {
+        self.round.as_ref().filter(|round| round.computed_at.elapsed() <= max_age)
+    }
+}
+
 /// Slot-keyed answer cache with TTL/staleness bounds and generation
 /// counters.
 pub struct AnswerCache {
@@ -83,6 +91,17 @@ impl AnswerCache {
                 .map(|_| Mutex::new(CacheCell { generation: 0, round: None }))
                 .collect(),
         }
+    }
+
+    /// The slot's cached round when it is younger than `max_age`, else
+    /// `None` (never computed, expired, or an out-of-range slot).
+    ///
+    /// A read-only probe: it takes the slot lock once, never computes and
+    /// never publishes. The serving loop calls it at pickup so a fresh hit
+    /// is answered without holding its batch open. It blocks while a
+    /// same-slot recompute holds the lock, then sees the new round.
+    pub fn fresh(&self, slot: SlotOfDay, max_age: Duration) -> Option<Arc<CachedRound>> {
+        lock_cell(self.cells.get(slot.index())?).fresh(max_age).cloned()
     }
 
     /// Returns the slot's cached round when it is younger than `max_age`,
@@ -148,10 +167,8 @@ impl AnswerCache {
             return Ok(CacheOutcome { round, hit: false });
         };
         let mut cell = lock_cell(cell);
-        if let Some(round) = &cell.round {
-            if round.computed_at.elapsed() <= max_age {
-                return Ok(CacheOutcome { round: Arc::clone(round), hit: true });
-            }
+        if let Some(round) = cell.fresh(max_age) {
+            return Ok(CacheOutcome { round: Arc::clone(round), hit: true });
         }
         let generation = cell.generation + 1;
         // The expired entry stays in place until the recompute succeeds —
@@ -211,6 +228,21 @@ mod tests {
         assert!(second.hit, "fresh entry must hit");
         assert!(Arc::ptr_eq(&first.round, &second.round));
         assert_eq!(cache.generation(slot), 1);
+    }
+
+    #[test]
+    fn fresh_probe_reads_without_computing() {
+        let cache = AnswerCache::new();
+        let slot = SlotOfDay(9);
+        let ttl = Duration::from_secs(60);
+        assert!(cache.fresh(slot, ttl).is_none(), "an empty cell has nothing fresh");
+        let first = cache.round_for(slot, ttl, ok(vec![1.0])).expect("infallible");
+        let probed = cache.fresh(slot, ttl).expect("a just-computed round is fresh");
+        assert!(Arc::ptr_eq(&first.round, &probed));
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(cache.fresh(slot, Duration::from_millis(1)).is_none(), "expired rounds miss");
+        assert!(cache.fresh(SlotOfDay(999), ttl).is_none());
+        assert_eq!(cache.generation(slot), 1, "the probe never publishes");
     }
 
     #[test]

@@ -31,9 +31,11 @@ pub const MAX_WORKERS: usize = 1024;
 /// deadline (callers opt in per request or via [`DEADLINE_ENV`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// How long a worker holds a batch open for more same-slot arrivals
-    /// after the first request is picked up. Zero disables coalescing-by-
-    /// waiting (queued same-slot requests still merge).
+    /// How long a worker holds a cache-missing batch open for more
+    /// same-slot arrivals after the first request is picked up. A batch
+    /// whose slot has a fresh cached round is answered at pickup and never
+    /// waits. Zero disables coalescing-by-waiting (queued same-slot
+    /// requests still merge).
     pub batch_window: Duration,
     /// Bounded admission queue depth; submissions beyond it are rejected
     /// with [`crate::ServeError::QueueFull`].

@@ -11,7 +11,8 @@
 //! - **micro-batches** concurrent same-slot queries into one shared round
 //!   ([`serve`], [`ServeConfig::batch_window`]),
 //! - **caches** each slot's round with TTL/staleness bounds and generation
-//!   counters ([`AnswerCache`]),
+//!   counters ([`AnswerCache`]); a batch its slot's fresh round can answer
+//!   is answered at pickup, so only misses wait out the batch window,
 //! - **admits** work through a bounded queue with deadline-based load
 //!   shedding — overload and lateness surface as typed [`ServeError`]s,
 //!   never as silent drops or stale estimates.

@@ -12,11 +12,14 @@
 //! ## Batching semantics
 //!
 //! Requests are grouped by slot. A worker that picks up a request also
-//! takes every queued request for the same slot, then holds the batch
-//! open for [`crate::ServeConfig::batch_window`] to catch stragglers. The
-//! batch is answered by **one** OCS→crowd→GSP round over the union of the
-//! batch's roads: GSP's output covers the whole network, so the shared
-//! round answers every waiter exactly as a fresh
+//! takes every queued request for the same slot. If the slot's cached
+//! round is fresh enough for every member of that batch, the batch is
+//! answered at pickup: a hit is a read of the cached values and has no
+//! stragglers to wait for. Only a miss holds the batch open for
+//! [`crate::ServeConfig::batch_window`] to catch same-slot stragglers.
+//! The batch is then answered by **one** OCS→crowd→GSP round over the
+//! union of the batch's roads: GSP's output covers the whole network, so
+//! the shared round answers every waiter exactly as a fresh
 //! [`CrowdRtse::answer_query`] for the merged query would — bit-identical
 //! (property-tested in `tests/serve_equivalence.rs`).
 //!
@@ -40,7 +43,7 @@ use rtse_graph::RoadId;
 use rtse_obs::Stage;
 use rtse_pool::ComputePool;
 use rtse_sync::mpsc::{channel, Sender};
-use rtse_sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use rtse_sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -347,11 +350,29 @@ impl ServerHandle<'_> {
 }
 
 /// One serving loop: repeatedly assemble a same-slot batch and answer it.
+/// A batch a fresh cached round can answer is answered at pickup; only a
+/// miss holds the batch open over the window.
 fn worker_loop(shared: &Shared<'_>) {
     while let Some(mut batch) = next_batch(shared) {
-        extend_batch_over_window(shared, &mut batch);
-        serve_batch(shared, batch);
+        let fresh = fresh_round(shared, &batch);
+        if fresh.is_none() {
+            extend_batch_over_window(shared, &mut batch);
+        }
+        serve_batch(shared, batch, fresh);
     }
+}
+
+/// The strictest waiter decides how fresh the answering round must be.
+fn max_age(ttl: Duration, batch: &[Pending]) -> Duration {
+    batch.iter().map(|p| p.max_staleness.unwrap_or(ttl)).min().unwrap_or(ttl)
+}
+
+/// The cached round that can answer the picked-up batch as it stands,
+/// if there is one. Runs with the queue lock released: it takes only the
+/// slot lock, and blocks while a same-slot recompute holds it.
+fn fresh_round(shared: &Shared<'_>, batch: &[Pending]) -> Option<Arc<CachedRound>> {
+    let slot = batch.first()?.slot;
+    shared.cache.fresh(slot, max_age(shared.config.ttl, batch))
 }
 
 /// Blocks until a request is available and returns it together with every
@@ -375,16 +396,20 @@ fn next_batch(shared: &Shared<'_>) -> Option<Vec<Pending>> {
     }
 }
 
-/// Moves every queued request for `slot` into `batch` (queue order kept).
+/// Moves every queued request for `slot` into `batch`, keeping queue
+/// order on both sides. When anything matches, one partition pass rotates
+/// each request from the front either into `batch` or onto the back of
+/// the queue: O(queue) however many requests move, with no allocation.
 fn drain_slot(queue: &mut VecDeque<Pending>, slot: SlotOfDay, batch: &mut Vec<Pending>) {
-    let mut i = 0;
-    while i < queue.len() {
-        if queue[i].slot == slot {
-            if let Some(p) = queue.remove(i) {
-                batch.push(p);
-            }
+    if !queue.iter().any(|p| p.slot == slot) {
+        return;
+    }
+    for _ in 0..queue.len() {
+        let Some(pending) = queue.pop_front() else { break };
+        if pending.slot == slot {
+            batch.push(pending);
         } else {
-            i += 1;
+            queue.push_back(pending);
         }
     }
 }
@@ -416,8 +441,9 @@ fn extend_batch_over_window(shared: &Shared<'_>, batch: &mut Vec<Pending>) {
 
 /// Answers one same-slot batch from the cache or a single shared round,
 /// shedding expired requests with typed errors on both sides of the
-/// compute.
-fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>) {
+/// compute. `fresh` is the round [`fresh_round`] found at pickup: a batch
+/// that has one is answered from it without touching the slot lock again.
+fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>, fresh: Option<Arc<CachedRound>>) {
     let now = Instant::now();
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for pending in batch {
@@ -434,27 +460,32 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>) {
     }
     let Some(slot) = live.first().map(|p| p.slot) else { return };
 
-    // The strictest waiter decides how fresh the round must be.
-    let ttl = shared.config.ttl;
-    let max_age = live.iter().map(|p| p.max_staleness.unwrap_or(ttl)).min().unwrap_or(ttl);
+    let outcome = match fresh {
+        // Fresh for the whole picked-up batch, so for its live members
+        // too. A hit publishes nothing.
+        Some(round) => Ok(CacheOutcome { round, hit: true }),
+        None => {
+            // Canonical batch query: the union of every waiter's roads.
+            // One round over the union answers everyone (GSP output
+            // covers the network).
+            let mut union: Vec<RoadId> =
+                live.iter().flat_map(|p| p.roads.iter().copied()).collect();
+            union.sort_unstable();
+            union.dedup();
 
-    // Canonical batch query: the union of every waiter's roads. One round
-    // over the union answers everyone (GSP output covers the network).
-    let mut union: Vec<RoadId> = live.iter().flat_map(|p| p.roads.iter().copied()).collect();
-    union.sort_unstable();
-    union.dedup();
-
-    // The rounds counter is published inside the same coherence write
-    // section as the slot's generation store, keeping
-    // `Σ generations == rounds` observable at every instant (see
-    // `ServerHandle::coherent_snapshot`).
-    let outcome = shared.cache.round_for_published(
-        slot,
-        max_age,
-        &shared.coherence,
-        |_generation, stale| compute_round(shared, union, slot, stale),
-        || shared.metrics.note_round(),
-    );
+            // The rounds counter is published inside the same coherence
+            // write section as the slot's generation store, keeping
+            // `Σ generations == rounds` observable at every instant (see
+            // `ServerHandle::coherent_snapshot`).
+            shared.cache.round_for_published(
+                slot,
+                max_age(shared.config.ttl, &live),
+                &shared.coherence,
+                |_generation, stale| compute_round(shared, union, slot, stale),
+                || shared.metrics.note_round(),
+            )
+        }
+    };
     match outcome {
         Ok(cached) => {
             let batch_size = live.len();
@@ -552,4 +583,46 @@ fn respond(shared: &Shared<'_>, pending: Pending, cached: &CacheOutcome, batch_s
     }
     shared.metrics.note_answered(cached.hit);
     let _ = pending.reply.send(Ok(answer));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pending(slot: u16, tag: u32) -> Pending {
+        let (reply, _rx) = channel();
+        Pending {
+            roads: vec![RoadId(tag)],
+            slot: SlotOfDay(slot),
+            deadline: None,
+            max_staleness: None,
+            submitted_at: Instant::now(),
+            reply,
+        }
+    }
+
+    fn tags<'p>(requests: impl IntoIterator<Item = &'p Pending>) -> Vec<(u16, u32)> {
+        requests.into_iter().map(|p| (p.slot.0, p.roads[0].0)).collect()
+    }
+
+    #[test]
+    fn drain_slot_keeps_queue_order_on_both_sides() {
+        let mut queue: VecDeque<Pending> = [(1, 0), (2, 1), (1, 2), (3, 3), (2, 4), (1, 5), (3, 6)]
+            .into_iter()
+            .map(|(slot, tag)| pending(slot, tag))
+            .collect();
+        let mut batch = vec![pending(1, 99)];
+        drain_slot(&mut queue, SlotOfDay(1), &mut batch);
+        assert_eq!(tags(&batch), vec![(1, 99), (1, 0), (1, 2), (1, 5)]);
+        assert_eq!(tags(&queue), vec![(2, 1), (3, 3), (2, 4), (3, 6)]);
+
+        drain_slot(&mut queue, SlotOfDay(7), &mut batch);
+        assert_eq!(batch.len(), 4, "no match moves nothing");
+        assert_eq!(tags(&queue), vec![(2, 1), (3, 3), (2, 4), (3, 6)]);
+
+        let mut other = Vec::new();
+        drain_slot(&mut queue, SlotOfDay(3), &mut other);
+        assert_eq!(tags(&other), vec![(3, 3), (3, 6)]);
+        assert_eq!(tags(&queue), vec![(2, 1), (2, 4)]);
+    }
 }

@@ -120,6 +120,30 @@ fn cache_rebuild_outside_the_slot_lock_loses_a_bump() {
     assert!(msg.contains("generation bump was lost"), "unexpected failure: {msg}");
 }
 
+/// Pickup freshness probe that skips the age test: racing a same-slot
+/// recompute, it hands out generation 1 after the clock has already
+/// expired it.
+#[test]
+fn fresh_probe_without_the_age_test_returns_an_expired_round() {
+    let msg = must_find_bug("fresh-probe-no-age-test", || {
+        // (generation, computed_at) of the cached round; max_age = 0.
+        let cell = Arc::new(Mutex::new((1u64, 0u64)));
+        let clock = Arc::new(AtomicU64::new(0));
+        let (cell2, clock2) = (Arc::clone(&cell), Arc::clone(&clock));
+        let recompute = thread::spawn(move || {
+            clock2.fetch_add(1, Ordering::Relaxed);
+            let mut round = cell2.lock().unwrap_or_else(PoisonError::into_inner);
+            *round = (2, clock2.load(Ordering::Relaxed));
+        });
+        let entered_at = clock.load(Ordering::Relaxed);
+        // BUG: returns whatever is cached without comparing its age.
+        let (_generation, computed_at) = *cell.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(entered_at.saturating_sub(computed_at), 0, "probe returned an expired round");
+        recompute.join().expect("recompute");
+    });
+    assert!(msg.contains("expired round"), "unexpected failure: {msg}");
+}
+
 /// Corr-cache init via check-then-set instead of `get_or_init`: two cold
 /// callers both see the slot empty and both run the builder.
 #[test]

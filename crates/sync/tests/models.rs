@@ -1,4 +1,4 @@
-//! Loom models of the workspace's four riskiest sync protocols.
+//! Loom models of the workspace's riskiest sync protocols.
 //!
 //! Each model mirrors the corresponding production code path statement
 //! for statement — same primitives, same orderings — against shapes
@@ -13,6 +13,7 @@
 //! |---|---|
 //! | seqlock write/read | `rtse-serve/src/coherence.rs` |
 //! | cold-miss coalescing + coherent publication | `rtse-serve/src/cache.rs::round_for_published` |
+//! | freshness probe racing a same-slot recompute | `rtse-serve/src/cache.rs::fresh` (called from `server.rs::fresh_round`) |
 //! | once-per-slot build | `crates/core/src/offline.rs::corr_entry` |
 //! | histogram record/merge | `rtse-obs/src/hist.rs` |
 
@@ -108,20 +109,44 @@ fn coherence_writers_serialize_and_retries_terminate() {
 
 /// Mirror of `AnswerCache`'s per-slot state (`rtse-serve/src/cache.rs`):
 /// the slot lock is held across `compute`, and the generation store plus
-/// the rounds bump publish inside one coherence write section. Freshness
-/// is a boolean here (loom has no clock): `fresh` = cached entries hit.
+/// the rounds bump publish inside one coherence write section. Loom has
+/// no clock, so time is a logical tick counter that stamps each round's
+/// `computed_at`; `round_for` takes freshness as a fixed boolean
+/// (`fresh` = cached entries hit), while the probe applies the age rule.
 struct SlotCache {
     cell: Mutex<SlotCell>,
+    clock: AtomicU64,
 }
 
 struct SlotCell {
     generation: u64,
-    round: Option<u64>,
+    round: Option<Round>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Round {
+    value: u64,
+    generation: u64,
+    computed_at: u64,
+}
+
+impl SlotCell {
+    /// `CacheCell::fresh`: the cached round if it is younger than
+    /// `max_age` at tick `now`.
+    fn fresh(&self, now: u64, max_age: u64) -> Option<Round> {
+        self.round.filter(|round| now.saturating_sub(round.computed_at) <= max_age)
+    }
 }
 
 impl SlotCache {
     fn new() -> Self {
-        Self { cell: Mutex::new(SlotCell { generation: 0, round: None }) }
+        Self { cell: Mutex::new(SlotCell { generation: 0, round: None }), clock: AtomicU64::new(0) }
+    }
+
+    /// `AnswerCache::fresh`: one slot-lock acquisition, read-only.
+    fn fresh(&self, max_age: u64) -> Option<Round> {
+        let cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
+        cell.fresh(self.clock.load(Ordering::Relaxed), max_age)
     }
 
     /// `round_for_published` for one slot, freshness fixed at `fresh`.
@@ -135,7 +160,7 @@ impl SlotCache {
         let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
         if fresh {
             if let Some(round) = cell.round {
-                return round;
+                return round.value;
             }
         }
         let generation = cell.generation + 1;
@@ -145,7 +170,8 @@ impl SlotCache {
             cell.generation = generation;
             rounds.fetch_add(1, Ordering::Relaxed);
         });
-        cell.round = Some(value);
+        let computed_at = self.clock.load(Ordering::Relaxed);
+        cell.round = Some(Round { value, generation, computed_at });
         value
     }
 
@@ -214,6 +240,46 @@ fn answer_cache_generation_bumps_publish_coherently() {
         assert_eq!(builds.load(Ordering::Relaxed), 2);
         assert_eq!(cache.generation(), 2, "a generation bump was lost");
         assert_eq!(rounds.load(Ordering::Relaxed), 2);
+    });
+}
+
+/// Protocol 2c — the pickup freshness probe racing a same-slot
+/// recompute. Generation 1 is cached at tick 0 with `max_age = 0`. The
+/// recompute thread lets time pass (tick 1, so generation 1 expires) and
+/// then rebuilds; the probe runs concurrently. Whatever the interleaving,
+/// the probe returns the previous round only while it is still fresh, or
+/// the newly published one, never an expired round; it publishes nothing,
+/// and a coherent reader still sees `rounds == generation`.
+#[test]
+fn answer_cache_fresh_probe_never_returns_an_expired_round() {
+    model::check(|| {
+        let cache = Arc::new(SlotCache::new());
+        let gate = Arc::new(Coherence::default());
+        let builds = Arc::new(AtomicUsize::new(0));
+        let rounds = Arc::new(AtomicU64::new(0));
+        cache.round_for(false, &gate, &builds, &rounds);
+        let max_age = 0;
+        let (cache2, gate2, builds2, rounds2) =
+            (Arc::clone(&cache), Arc::clone(&gate), Arc::clone(&builds), Arc::clone(&rounds));
+        let recompute = thread::spawn(move || {
+            cache2.clock.fetch_add(1, Ordering::Relaxed);
+            cache2.round_for(false, &gate2, &builds2, &rounds2)
+        });
+        let entered_at = cache.clock.load(Ordering::Relaxed);
+        if let Some(round) = cache.fresh(max_age) {
+            assert!(
+                entered_at.saturating_sub(round.computed_at) <= max_age,
+                "probe returned a round already expired when it was called: {round:?}"
+            );
+            assert!(matches!(round.generation, 1 | 2), "probe returned a phantom round");
+        }
+        let (r, g) = gate.read(|| (rounds.load(Ordering::Relaxed), cache.generation()));
+        assert_eq!(r, g, "rounds and generations tore apart under a coherent read");
+        assert_eq!(recompute.join().expect("recompute"), 20);
+        assert_eq!(builds.load(Ordering::Relaxed), 2, "the probe must never build");
+        assert_eq!(rounds.load(Ordering::Relaxed), 2, "the probe must never publish");
+        let probed = cache.fresh(max_age).expect("the new round is fresh at the final tick");
+        assert_eq!(probed.generation, 2);
     });
 }
 
