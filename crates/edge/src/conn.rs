@@ -182,7 +182,7 @@ impl Conn {
     /// Encodes a serve reply (answer or typed reject) for the peer.
     pub(crate) fn push_reply(&mut self, request_id: u64, reply: Result<ServedAnswer, ServeError>) {
         let frame = match reply {
-            Ok(answer) => Frame::Answer(answer_frame(request_id, &answer)),
+            Ok(answer) => Frame::Answer(answer_frame(request_id, answer)),
             Err(err) => Frame::Reject(reject_frame(request_id, &err)),
         };
         encode_frame(&frame, &mut self.wbuf);
@@ -249,8 +249,9 @@ impl Conn {
     }
 }
 
-/// Converts a serve answer to its wire form.
-fn answer_frame(request_id: u64, answer: &ServedAnswer) -> AnswerFrame {
+/// Converts a serve answer to its wire form, moving the estimates into
+/// the frame.
+fn answer_frame(request_id: u64, answer: ServedAnswer) -> AnswerFrame {
     let mut roads = Vec::with_capacity(answer.roads.len());
     for road in &answer.roads {
         roads.push(road.0);
@@ -263,7 +264,7 @@ fn answer_frame(request_id: u64, answer: &ServedAnswer) -> AnswerFrame {
         slot: answer.slot.0,
         cache_hit: answer.cache_hit,
         roads,
-        speeds: answer.estimates.clone(),
+        speeds: answer.estimates,
     }
 }
 

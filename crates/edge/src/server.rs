@@ -44,8 +44,14 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-/// How long a shard sleeps when a full pump pass made no progress
+/// How long a shard parks when a full pump pass made no progress
 /// (nothing accepted, read, resolved, or written).
+///
+/// A reply needs no timer: resolving a ticket unparks the shard that
+/// submitted it, so the park ends as soon as an answer is ready. std has
+/// no socket readiness wait, so what this still bounds is how late the
+/// shard notices a new connection, newly readable bytes, or a socket that
+/// can take more of a backed-up write buffer.
 const IDLE_BACKOFF: Duration = Duration::from_micros(500);
 
 /// Per-connection budget for the final blocking flush during drain.
@@ -311,7 +317,7 @@ fn shard_loop(listener: TcpListener, ctx: &ShardCtx<'_, '_>) {
             return;
         }
         if !progressed {
-            std::thread::sleep(IDLE_BACKOFF);
+            std::thread::park_timeout(IDLE_BACKOFF);
         }
     }
 }
@@ -446,7 +452,7 @@ fn drain_shard(mut conns: Vec<Conn>, ctx: &ShardCtx<'_, '_>) {
         if in_flight == 0 {
             break;
         }
-        std::thread::sleep(IDLE_BACKOFF);
+        std::thread::park_timeout(IDLE_BACKOFF);
     }
     for mut conn in conns {
         conn.push_goaway(GoAwayCode::ShuttingDown, String::new());

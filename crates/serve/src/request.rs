@@ -105,6 +105,11 @@ impl rtse_check::Validate for ServedAnswer {
 /// A pending answer: blocks on [`Ticket::wait`] until the serving workers
 /// resolve the request one way or the other.
 ///
+/// Resolving a ticket unparks the thread that submitted it (see
+/// [`crate::ServerHandle::submit`]), so a submitter may wait for several
+/// tickets at once by polling them between `std::thread::park_timeout`
+/// calls.
+///
 /// Tickets own their reply channel and may outlive the server scope —
 /// answers sent before shutdown remain readable afterwards. Dropping a
 /// ticket abandons the request (the server computes and discards the

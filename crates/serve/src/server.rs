@@ -45,6 +45,7 @@ use rtse_pool::ComputePool;
 use rtse_sync::mpsc::{channel, Sender};
 use rtse_sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// The physical world one serving deployment probes: the live crowd, the
@@ -83,6 +84,22 @@ struct Pending {
     max_staleness: Option<Duration>,
     submitted_at: Instant,
     reply: Sender<Reply>,
+    /// The thread that called [`ServerHandle::submit`]; woken by
+    /// [`Pending::reply`].
+    submitter: Thread,
+}
+
+impl Pending {
+    /// Resolves the request: sends `reply`, then unparks the submitting
+    /// thread. The only way a reply leaves the server, so no path can
+    /// resolve a ticket without waking its submitter. Sending first means
+    /// the woken thread always finds the reply; a wake that lands before
+    /// the submitter parks is kept by std's park token.
+    fn reply(self, reply: Reply) {
+        // Err: the ticket was dropped and nobody is listening.
+        let _ = self.reply.send(reply);
+        self.submitter.unpark();
+    }
 }
 
 struct QueueState {
@@ -230,6 +247,12 @@ impl ServerHandle<'_> {
     /// Admits a request, returning a [`Ticket`] that resolves when the
     /// serving workers answer it.
     ///
+    /// Resolving a ticket unparks the thread that submitted it: a caller
+    /// that polls [`Ticket::poll`] between `std::thread::park_timeout`
+    /// calls wakes as soon as its reply is sent, not when the timeout
+    /// runs out. Other parkers on that thread may see the unpark as a
+    /// spurious wake, which `park` permits.
+    ///
     /// Typed rejections at admission: an empty road list
     /// ([`ServeError::EmptyQuery`]), an out-of-range road or slot, a full
     /// queue ([`ServeError::QueueFull`] — the backpressure path), or a
@@ -273,6 +296,7 @@ impl ServerHandle<'_> {
             max_staleness,
             submitted_at: now,
             reply: tx,
+            submitter: std::thread::current(),
         };
         {
             let mut st = lock(&self.shared.state);
@@ -447,9 +471,7 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>, fresh: Option<Arc<Cache
     let now = Instant::now();
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for pending in batch {
-        if shed_if_expired(shared, &pending, now) {
-            continue;
-        }
+        let Some(pending) = shed_if_expired(shared, pending, now) else { continue };
         // Queue wait measured at pickup: admission to the start of the
         // batch that will answer (or shed) the request.
         shared.config.obs.record_duration(
@@ -496,23 +518,24 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>, fresh: Option<Arc<Cache
         }
         Err(e) => {
             for pending in live {
-                let _ = pending.reply.send(Err(e.clone()));
+                pending.reply(Err(e.clone()));
             }
         }
     }
 }
 
 /// Sheds `pending` with the typed deadline error if it is past due at
-/// `now`. Returns whether it was shed.
-fn shed_if_expired(shared: &Shared<'_>, pending: &Pending, now: Instant) -> bool {
-    let Some(deadline) = pending.deadline else { return false };
+/// `now`. Hands the request back while it is still live; `None` means it
+/// was shed.
+fn shed_if_expired(shared: &Shared<'_>, pending: Pending, now: Instant) -> Option<Pending> {
+    let Some(deadline) = pending.deadline else { return Some(pending) };
     if now <= deadline {
-        return false;
+        return Some(pending);
     }
     shared.metrics.note_shed();
     let missed_by = now.saturating_duration_since(deadline);
-    let _ = pending.reply.send(Err(ServeError::DeadlineExceeded { missed_by }));
-    true
+    pending.reply(Err(ServeError::DeadlineExceeded { missed_by }));
+    None
 }
 
 /// Runs the shared OCS→crowd→GSP round for a slot over the merged roads.
@@ -557,16 +580,14 @@ fn compute_round(
 /// typed rejection and never a late estimate.
 fn respond(shared: &Shared<'_>, pending: Pending, cached: &CacheOutcome, batch_size: usize) {
     let now = Instant::now();
-    if shed_if_expired(shared, &pending, now) {
-        return;
-    }
+    let Some(mut pending) = shed_if_expired(shared, pending, now) else { return };
     // Sized fill, not `collect`: the answer length is known up front and
     // this runs once per waiter per round (`cargo xtask flow` hot-alloc
     // discipline; see DESIGN.md §10).
     let mut estimates: Vec<f64> = Vec::with_capacity(pending.roads.len());
     estimates.extend(pending.roads.iter().map(|r| cached.round.values[r.index()]));
     let answer = ServedAnswer {
-        roads: pending.roads,
+        roads: std::mem::take(&mut pending.roads),
         estimates,
         slot: pending.slot,
         generation: cached.round.generation,
@@ -582,7 +603,7 @@ fn respond(shared: &Shared<'_>, pending: Pending, cached: &CacheOutcome, batch_s
         }
     }
     shared.metrics.note_answered(cached.hit);
-    let _ = pending.reply.send(Ok(answer));
+    pending.reply(Ok(answer));
 }
 
 #[cfg(test)]
@@ -598,6 +619,7 @@ mod tests {
             max_staleness: None,
             submitted_at: Instant::now(),
             reply,
+            submitter: std::thread::current(),
         }
     }
 
